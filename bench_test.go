@@ -104,6 +104,7 @@ func BenchmarkLPSimplexRaw(b *testing.B) {
 		}
 		m.AddConstr(e, lp.LE, float64(60+j), "demand")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sol, err := lp.Solve(m, nil)
@@ -125,6 +126,7 @@ func BenchmarkLPSolveMedium(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := te.MaxThroughput(net); err != nil {

@@ -38,10 +38,24 @@
 // order, each column is solved against the current L via a depth-first
 // reachability pass (so the triangular solve touches only the nonzero
 // pattern), and the pivot is the largest-magnitude eligible entry (partial
-// pivoting). FTRAN/BTRAN are column-oriented triangular solves over the
-// factors plus a product-form eta file: each pivot appends one eta vector,
-// and the basis is refactorised every Options.Refactor pivots (default 64)
-// or when a numerically tiny pivot appears.
+// pivoting). One set of factor storage serves every refactorisation of a
+// solve. Between refactorisations each pivot appends one eta to a
+// product-form eta file; an eta keeps only the nonzeros of its column
+// outside the pivot position, in ascending row order, and all etas share
+// one index/value backing, so FTRAN and BTRAN cost the factors' nonzeros
+// plus the etas' nonzeros rather than rows × etas. The basis is
+// refactorised every Options.Refactor pivots (default 64) or when a
+// numerically tiny pivot appears.
+//
+// # Pivot identity
+//
+// Kernel speedups keep every floating-point operation that decides a pivot
+// in the same order on the same operands: a sparse eta applies its entries
+// in ascending row order, as a dense eta column would, and leaves out only
+// the terms whose coefficient is zero. Speedups of this kind never move a
+// pivot, so iteration counts, plans and every lp.* counter stay the same.
+// TestPivotPathPinned holds the kernel to this contract on a seeded table
+// of cold and warm solves.
 //
 // # Pricing and ratio test
 //
@@ -52,14 +66,11 @@
 // the tightest limit — no basis change). Ties prefer the largest pivot
 // element for stability.
 //
-// # Duals and presolve
+// # Duals
 //
 // At optimality the shadow prices y = B^-T c_B are reported per constraint
 // in the model's own sense (see Solution.Duals); complementary slackness
-// and finite-difference consistency are covered by tests. SolvePresolved
-// wraps Solve with standard reductions — fixed variables, singleton rows,
-// empty rows and unconstrained columns — iterated to a fixpoint, with
-// infeasibility/unboundedness sometimes decided without a simplex call.
+// and finite-difference consistency are covered by tests.
 //
 // # Validation
 //

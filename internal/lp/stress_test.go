@@ -139,42 +139,7 @@ func TestZeroObjectiveFeasibility(t *testing.T) {
 // TestLargeSparseNetworkLP runs a bigger network-flow-shaped instance to
 // exercise refactorisation and eta accumulation.
 func TestLargeSparseNetworkLP(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	const nodes = 60
-	type arc struct {
-		from, to int
-		v        Var
-	}
-	m := NewModel("network")
-	m.SetMaximize(true)
-	var arcs []arc
-	for i := 0; i < nodes; i++ {
-		for d := 1; d <= 3; d++ {
-			j := (i + d) % nodes
-			v := m.AddVar(0, float64(5+rng.Intn(10)), 0, "arc")
-			arcs = append(arcs, arc{i, j, v})
-		}
-	}
-	// Maximise flow from node 0 to node nodes/2 with conservation.
-	t0 := m.AddVar(0, Inf, 1, "value")
-	for n2 := 0; n2 < nodes; n2++ {
-		var e Expr
-		for _, a := range arcs {
-			if a.to == n2 {
-				e = e.Plus(1, a.v)
-			}
-			if a.from == n2 {
-				e = e.Plus(-1, a.v)
-			}
-		}
-		switch n2 {
-		case 0:
-			e = e.Plus(1, t0)
-		case nodes / 2:
-			e = e.Plus(-1, t0)
-		}
-		m.AddConstr(e, EQ, 0, "conserve")
-	}
+	m, t0 := networkFlowModel(rand.New(rand.NewSource(35)), 60)
 	sol, err := Solve(m, nil)
 	if err != nil {
 		t.Fatal(err)

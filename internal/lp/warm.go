@@ -214,7 +214,7 @@ func (sx *simplex) solveWarm(wb *Basis) (*Solution, error) {
 		sx.x[j], sx.status[j] = nearestBound(sx.lb[j], sx.ub[j], sx.x[j])
 		sx.posOf[j] = -1
 	}
-	sx.etas = sx.etas[:0]
+	sx.clearEtas()
 	sol, err := sx.solveFromPoint()
 	if warmArts := sx.startingArts; coldArts > warmArts {
 		wi.PivotsSaved = coldArts - warmArts
@@ -359,11 +359,7 @@ func (sx *simplex) installWarmBasis(wb *Basis, wi *WarmInfo) bool {
 // patched basis exactly). Reports false when the basis cannot be made
 // nonsingular this way.
 func (sx *simplex) warmFactorize(wi *WarmInfo) bool {
-	cols := make([]spCol, sx.nRow)
-	for i, j := range sx.basisOf {
-		cols[i] = sx.cols[j]
-	}
-	lu, patched, err := factorizeRepair(sx.nRow, cols)
+	patched, err := sx.factorBasis(true)
 	if err != nil {
 		return false
 	}
@@ -386,8 +382,6 @@ func (sx *simplex) warmFactorize(wi *WarmInfo) bool {
 		wi.Repairs++
 	}
 	sx.refactors++
-	sx.lu = lu
-	sx.etas = sx.etas[:0]
 	sx.recomputeBasics()
 	return true
 }
@@ -411,7 +405,8 @@ func (sx *simplex) maxBasicViolation() float64 {
 // artificials a cold start of this model would install at a nonzero
 // residual — the baseline for the pivots_saved estimate.
 func (sx *simplex) countColdArtificials() int {
-	res := append([]float64(nil), sx.b...)
+	res := sx.rhs
+	copy(res, sx.b)
 	for j := 0; j < sx.nStr+sx.nRow; j++ {
 		if v, _ := initialValue(sx.lb[j], sx.ub[j]); v != 0 {
 			c := &sx.cols[j]
@@ -492,5 +487,5 @@ func (sx *simplex) resetForCold() {
 	for j := range sx.posOf {
 		sx.posOf[j] = -1
 	}
-	sx.etas = sx.etas[:0]
+	sx.clearEtas()
 }
