@@ -31,41 +31,8 @@ func (f *healthFakeRecorder) SpanDone(string, int64, time.Time, time.Duration) {
 
 // healthNetworkModel is a flow LP big enough to pivot for a while.
 func healthNetworkModel(seed int64) *Model {
-	rng := rand.New(rand.NewSource(seed))
-	const nodes = 40
-	type arc struct {
-		from, to int
-		v        Var
-	}
-	m := NewModel("health-network")
-	m.SetMaximize(true)
-	var arcs []arc
-	for i := 0; i < nodes; i++ {
-		for d := 1; d <= 3; d++ {
-			j := (i + d) % nodes
-			v := m.AddVar(0, float64(5+rng.Intn(10)), 0, "arc")
-			arcs = append(arcs, arc{i, j, v})
-		}
-	}
-	t0 := m.AddVar(0, Inf, 1, "value")
-	for n := 0; n < nodes; n++ {
-		var e Expr
-		for _, a := range arcs {
-			if a.to == n {
-				e = e.Plus(1, a.v)
-			}
-			if a.from == n {
-				e = e.Plus(-1, a.v)
-			}
-		}
-		switch n {
-		case 0:
-			e = e.Plus(1, t0)
-		case nodes / 2:
-			e = e.Plus(-1, t0)
-		}
-		m.AddConstr(e, EQ, 0, "conserve")
-	}
+	m, _ := networkFlowModel(rand.New(rand.NewSource(seed)), 40)
+	m.SetName("health-network")
 	return m
 }
 
