@@ -142,9 +142,39 @@ func BenchmarkRWASingleCut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rwa.Solve(&rwa.Request{Net: tp.Opt, Cut: []int{i % len(tp.Opt.Fibers)}, K: 3, AllowTuning: true, AllowModulationChange: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRWATripleCut times one correlated 3-way cut on B4 — an SRLG's
+// two fibers plus a third — warm-started from its single-cut solves, the
+// per-scenario RWA of the correlated offline stage.
+func BenchmarkRWATripleCut(b *testing.B) {
+	tp, err := topo.B4(6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(tp.SRLGs) == 0 {
+		b.Fatal("B4 has no SRLGs")
+	}
+	cut := append(append([]int(nil), tp.SRLGs[0].Fibers...), 6)
+	var singles []*rwa.Result
+	for _, f := range cut {
+		res, err := rwa.Solve(&rwa.Request{Net: tp.Opt, Cut: []int{f}, K: 3, AllowTuning: true, AllowModulationChange: true, ExportBasis: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		singles = append(singles, res)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rwa.Solve(&rwa.Request{Net: tp.Opt, Cut: cut, K: 3, AllowTuning: true, AllowModulationChange: true, WarmFrom: singles}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,6 +194,7 @@ func BenchmarkTicketGeneration(b *testing.B) {
 	if len(res.Failed) == 0 {
 		b.Skip("cut fails no links on this seed")
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ticket.Generate(res, ticket.Options{Count: 40, Seed: int64(i), CheckFeasibility: true})

@@ -3,16 +3,16 @@
 // (ROADMs and fibers, where surrogate restoration paths are routed) and the
 // IP-layer topology (sites and IP links, where TE tunnels are routed).
 //
-// It implements Dijkstra shortest paths, Yen's k-shortest loopless paths
-// (used for surrogate fiber paths and tunnel selection), and greedy
-// edge-disjoint path extraction (used for fiber-disjoint tunnels).
+// It implements Dijkstra shortest paths and Yen's k-shortest loopless paths
+// (used for surrogate fiber paths and tunnel selection), both of which skip
+// caller-banned edges so one shared graph serves every failure scenario.
 package graph
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Node identifies a vertex.
@@ -80,54 +80,73 @@ type Path struct {
 	Weight float64
 }
 
-// Nodes expands a path to its node sequence (length len(Edges)+1).
-func (p Path) Nodes(g *Graph) []Node {
-	if len(p.Edges) == 0 {
-		return nil
-	}
-	out := make([]Node, 0, len(p.Edges)+1)
-	out = append(out, g.edges[p.Edges[0]].From)
-	for _, id := range p.Edges {
-		out = append(out, g.edges[id].To)
-	}
-	return out
-}
-
 // pqItem is a priority-queue entry for Dijkstra.
 type pqItem struct {
 	node Node
 	dist float64
 }
 
-type pq []pqItem
+// minHeap is a binary min-heap on dist. push and pop sift exactly like
+// container/heap's Push and Pop, so equal-distance entries leave in the
+// same order as they would from a container/heap queue.
+type minHeap []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (h *minHeap) push(it pqItem) {
+	q := append(*h, it)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
 }
 
-// ShortestPath returns the minimum-weight path from src to dst, skipping
-// edges for which banned returns true (banned may be nil). ok is false when
-// dst is unreachable.
-func (g *Graph) ShortestPath(src, dst Node, banned func(edgeID int) bool) (Path, bool) {
-	dist := make([]float64, g.n)
-	prev := make([]int, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
+func (h *minHeap) pop() pqItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
 	}
-	dist[src] = 0
-	q := &pq{{src, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if it.dist > dist[it.node] {
+	*h = q[:n]
+	return q[n]
+}
+
+// search holds Dijkstra's per-node state and queue so that the spur
+// searches of one Yen's run reuse the same storage.
+type search struct {
+	dist []float64
+	prev []int
+	q    minHeap
+}
+
+// run settles nodes from src until dst, skipping banned edges (banned may
+// be nil), and reports whether dst is reachable. dist[dst] is then the
+// path weight and appendPath recovers the path.
+func (s *search) run(g *Graph, src, dst Node, banned func(edgeID int) bool) bool {
+	for i := range s.dist {
+		s.dist[i] = math.Inf(1)
+		s.prev[i] = -1
+	}
+	s.dist[src] = 0
+	s.q = append(s.q[:0], pqItem{src, 0})
+	for len(s.q) > 0 {
+		it := s.q.pop()
+		if it.dist > s.dist[it.node] {
 			continue
 		}
 		if it.node == dst {
@@ -141,59 +160,91 @@ func (g *Graph) ShortestPath(src, dst Node, banned func(edgeID int) bool) (Path,
 			if e.Weight < 0 {
 				panic("graph: negative edge weight")
 			}
-			if nd := it.dist + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = id
-				heap.Push(q, pqItem{e.To, nd})
+			if nd := it.dist + e.Weight; nd < s.dist[e.To] {
+				s.dist[e.To] = nd
+				s.prev[e.To] = id
+				s.q.push(pqItem{e.To, nd})
 			}
 		}
 	}
-	if math.IsInf(dist[dst], 1) {
+	return !math.IsInf(s.dist[dst], 1)
+}
+
+// appendPath appends the edge IDs of the path run found from src to dst.
+func (s *search) appendPath(g *Graph, buf []int, src, dst Node) []int {
+	hops := 0
+	for at := dst; at != src; at = g.edges[s.prev[at]].From {
+		hops++
+	}
+	buf = slices.Grow(buf, hops)[:len(buf)+hops]
+	i := len(buf)
+	for at := dst; at != src; at = g.edges[s.prev[at]].From {
+		i--
+		buf[i] = s.prev[at]
+	}
+	return buf
+}
+
+// ShortestPath returns the minimum-weight path from src to dst, skipping
+// edges for which banned returns true (banned may be nil). ok is false when
+// dst is unreachable.
+func (g *Graph) ShortestPath(src, dst Node, banned func(edgeID int) bool) (Path, bool) {
+	s := search{dist: make([]float64, g.n), prev: make([]int, g.n)}
+	if !s.run(g, src, dst, banned) {
 		return Path{}, false
 	}
-	var rev []int
-	for at := dst; at != src; {
-		id := prev[at]
-		rev = append(rev, id)
-		at = g.edges[id].From
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return Path{Edges: rev, Weight: dist[dst]}, true
+	return Path{Edges: s.appendPath(g, nil, src, dst), Weight: s.dist[dst]}, true
 }
 
 // KShortestPaths returns up to k loopless shortest paths from src to dst in
-// ascending weight order (Yen's algorithm). maxWeight, if positive, prunes
-// paths longer than it (used for modulation reach bounds).
-func (g *Graph) KShortestPaths(src, dst Node, k int, maxWeight float64) []Path {
+// ascending weight order (Yen's algorithm), skipping edges for which banned
+// returns true (banned may be nil). maxWeight, if positive, prunes paths
+// longer than it (used for modulation reach bounds). Searching with banned
+// edges returns the same paths as searching a copy of the graph without
+// them, as long as the copy keeps each node's remaining out-edges in order.
+func (g *Graph) KShortestPaths(src, dst Node, k int, maxWeight float64, banned func(edgeID int) bool) []Path {
 	if k <= 0 {
 		return nil
 	}
-	within := func(p Path) bool { return maxWeight <= 0 || p.Weight <= maxWeight+1e-9 }
-	first, ok := g.ShortestPath(src, dst, nil)
-	if !ok || !within(first) {
+	within := func(w float64) bool { return maxWeight <= 0 || w <= maxWeight+1e-9 }
+	s := search{dist: make([]float64, g.n), prev: make([]int, g.n)}
+	if !s.run(g, src, dst, banned) || !within(s.dist[dst]) {
 		return nil
 	}
-	accepted := []Path{first}
+	accepted := make([]Path, 1, min(k, 16))
+	accepted[0] = Path{Edges: s.appendPath(g, nil, src, dst), Weight: s.dist[dst]}
 	var candidates []Path
+	// Per-spur bans, cleared before each spur search.
+	bannedEdges := make([]bool, len(g.edges)+g.n)
+	bannedEdges, bannedNodes := bannedEdges[:len(g.edges)], bannedEdges[len(g.edges):]
+	spurBanned := func(id int) bool {
+		e := &g.edges[id]
+		return bannedEdges[id] || bannedNodes[e.From] || bannedNodes[e.To] || (banned != nil && banned(id))
+	}
+	prevNodes := make([]Node, 0, g.n+1) // a loopless path visits each node at most once
 
 	for len(accepted) < k {
 		prev := accepted[len(accepted)-1]
-		prevNodes := prev.Nodes(g)
+		if len(prev.Edges) == 0 {
+			break // src == dst: the empty path is the only loopless one
+		}
+		prevNodes = append(prevNodes[:0], g.edges[prev.Edges[0]].From)
+		for _, id := range prev.Edges {
+			prevNodes = append(prevNodes, g.edges[id].To)
+		}
 		// Spur from each node of the previous path.
 		for i := 0; i < len(prev.Edges); i++ {
 			spurNode := prevNodes[i]
-			rootEdges := prev.Edges[:i]
+			rootEdges := prev.Edges[:i:i] // capped, so appendPath below copies it
 			rootWeight := 0.0
 			for _, id := range rootEdges {
 				rootWeight += g.edges[id].Weight
 			}
-			bannedEdges := map[int]bool{}
-			bannedNodes := map[Node]bool{}
+			clear(bannedEdges)
+			clear(bannedNodes)
 			// Ban edges that would recreate an accepted path with this root.
 			for _, p := range accepted {
-				if len(p.Edges) > i && equalInts(p.Edges[:i], rootEdges) {
+				if len(p.Edges) > i && slices.Equal(p.Edges[:i], rootEdges) {
 					bannedEdges[p.Edges[i]] = true
 				}
 			}
@@ -201,28 +252,23 @@ func (g *Graph) KShortestPaths(src, dst Node, k int, maxWeight float64) []Path {
 			for _, n := range prevNodes[:i] {
 				bannedNodes[n] = true
 			}
-			spur, ok := g.ShortestPath(spurNode, dst, func(id int) bool {
-				return bannedEdges[id] || bannedNodes[g.edges[id].From] || bannedNodes[g.edges[id].To]
-			})
-			if !ok {
+			if !s.run(g, spurNode, dst, spurBanned) {
 				continue
 			}
-			total := Path{
-				Edges:  append(append([]int(nil), rootEdges...), spur.Edges...),
-				Weight: rootWeight + spur.Weight,
-			}
-			if !within(total) {
+			weight := rootWeight + s.dist[dst]
+			if !within(weight) {
 				continue
 			}
+			total := Path{Edges: s.appendPath(g, rootEdges, spurNode, dst), Weight: weight}
 			dup := false
 			for _, c := range candidates {
-				if equalInts(c.Edges, total.Edges) {
+				if slices.Equal(c.Edges, total.Edges) {
 					dup = true
 					break
 				}
 			}
 			for _, a := range accepted {
-				if equalInts(a.Edges, total.Edges) {
+				if slices.Equal(a.Edges, total.Edges) {
 					dup = true
 					break
 				}
@@ -234,70 +280,11 @@ func (g *Graph) KShortestPaths(src, dst Node, k int, maxWeight float64) []Path {
 		if len(candidates) == 0 {
 			break
 		}
-		sort.SliceStable(candidates, func(a, b int) bool { return candidates[a].Weight < candidates[b].Weight })
+		slices.SortStableFunc(candidates, func(a, b Path) int { return cmp.Compare(a.Weight, b.Weight) })
 		accepted = append(accepted, candidates[0])
 		candidates = candidates[1:]
 	}
 	return accepted
-}
-
-// DisjointPaths greedily extracts up to k paths from src to dst that share
-// no edge label (labels typically identify fibers, so label-disjoint means
-// fiber-disjoint). Paths are found shortest-first.
-func (g *Graph) DisjointPaths(src, dst Node, k int) []Path {
-	usedLabels := map[int]bool{}
-	var out []Path
-	for len(out) < k {
-		p, ok := g.ShortestPath(src, dst, func(id int) bool { return usedLabels[g.edges[id].Label] })
-		if !ok {
-			break
-		}
-		for _, id := range p.Edges {
-			usedLabels[g.edges[id].Label] = true
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// Reachable reports whether dst is reachable from src skipping banned edges.
-func (g *Graph) Reachable(src, dst Node, banned func(edgeID int) bool) bool {
-	if src == dst {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []Node{src}
-	seen[src] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, id := range g.out[n] {
-			if banned != nil && banned(id) {
-				continue
-			}
-			to := g.edges[id].To
-			if to == dst {
-				return true
-			}
-			if !seen[to] {
-				seen[to] = true
-				stack = append(stack, to)
-			}
-		}
-	}
-	return false
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxFlow computes the maximum s->t flow with Edmonds-Karp (BFS augmenting

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -190,5 +191,37 @@ func TestWarmAppendManyViolatedRows(t *testing.T) {
 	}
 	if math.Abs(warm.Objective-cold.Objective) > 1e-7 {
 		t.Fatalf("warm objective %g != cold %g", warm.Objective, cold.Objective)
+	}
+}
+
+// TestAddConstrCombinesTermsIntoIndependentRows checks the row builder:
+// duplicate variables are summed in first-occurrence order, zero sums are
+// dropped, a caller's reused expression buffer does not alias any row, and
+// growing one row in place (AddVarToConstrs) leaves its neighbours intact
+// even though AddConstr carves rows from one shared arena.
+func TestAddConstrCombinesTermsIntoIndependentRows(t *testing.T) {
+	m := NewModel("rows")
+	x, y, z := m.AddVar(0, 1, 1, ""), m.AddVar(0, 1, 1, ""), m.AddVar(0, 1, 1, "")
+	buf := Expr{}.Plus(1, y).Plus(2, x).Plus(3, y).Plus(1, z).Plus(-1, z)
+	r0 := m.AddConstr(buf, LE, 1, "")
+	buf = append(buf[:0], Term{Var: z, Coef: 5}, Term{Var: x, Coef: 1})
+	r1 := m.AddConstr(buf, LE, 1, "")
+	m.Grow(1, 1, 8)
+	r2 := m.AddConstr(Expr{}.Plus(7, x), LE, 1, "")
+	w := m.AddVarToConstrs(0, 1, 0, "", []ColumnEntry{{Constr: r0, Coef: 9}, {Constr: r1, Coef: 4}})
+	want := [][]Term{
+		{{Var: y, Coef: 4}, {Var: x, Coef: 2}, {Var: w, Coef: 9}},
+		{{Var: z, Coef: 5}, {Var: x, Coef: 1}, {Var: w, Coef: 4}},
+		{{Var: x, Coef: 7}},
+	}
+	for i, c := range []Constr{r0, r1, r2} {
+		if got := m.rows[c].terms; !slices.Equal(got, want[i]) {
+			t.Fatalf("row %d terms %v, want %v", i, got, want[i])
+		}
+	}
+	for v, pos := range m.termPos {
+		if pos != 0 {
+			t.Fatalf("termPos[%d] = %d left set after AddConstr", v, pos)
+		}
 	}
 }

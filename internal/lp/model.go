@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Inf is the bound used for unbounded variable ranges.
@@ -60,7 +61,21 @@ type Model struct {
 	integer []bool // used by package mip; ignored by the LP solver
 
 	rows []rowData
+
+	// termArena backs the terms of the rows AddConstr adds: each row takes
+	// a window capped at its length, so a later append to a row moves it
+	// out instead of spilling into the next row's terms.
+	termArena []Term
+	// termPos is combineTerms' per-variable scratch: 1 + the variable's
+	// position in the row being combined, 0 when absent. All zero between
+	// calls.
+	termPos []int32
 }
+
+// maxTermChunk bounds the arena chunk AddConstr allocates, so a model whose
+// rows are truncated and re-added many times does not grow chunks without
+// bound.
+const maxTermChunk = 4096
 
 type rowData struct {
 	terms []Term
@@ -95,6 +110,21 @@ func (m *Model) AddVar(lb, ub, obj float64, name string) Var {
 	m.varName = append(m.varName, name)
 	m.integer = append(m.integer, false)
 	return Var(len(m.obj) - 1)
+}
+
+// Grow reserves room for vars more variables, rows more constraints and
+// terms more constraint terms, so a builder that knows its model's size
+// adds them without repeated slice growth. It changes nothing else.
+func (m *Model) Grow(vars, rows, terms int) {
+	m.obj = slices.Grow(m.obj, vars)
+	m.lb = slices.Grow(m.lb, vars)
+	m.ub = slices.Grow(m.ub, vars)
+	m.varName = slices.Grow(m.varName, vars)
+	m.integer = slices.Grow(m.integer, vars)
+	m.rows = slices.Grow(m.rows, rows)
+	if cap(m.termArena)-len(m.termArena) < terms {
+		m.termArena = make([]Term, 0, terms) // rows keep their old windows
+	}
 }
 
 // AddIntVar adds a variable marked integral. The LP solver treats it as
@@ -153,7 +183,7 @@ func (m *Model) AddConstr(expr Expr, sense Sense, rhs float64, name string) Cons
 			panic(fmt.Sprintf("lp: constraint %q references unknown variable %d", name, t.Var))
 		}
 	}
-	m.rows = append(m.rows, rowData{terms: combineTerms(expr), sense: sense, rhs: rhs, name: name})
+	m.rows = append(m.rows, rowData{terms: m.combineTerms(expr), sense: sense, rhs: rhs, name: name})
 	return Constr(len(m.rows) - 1)
 }
 
@@ -243,26 +273,34 @@ func (m *Model) TruncateConstrs(n int) {
 }
 
 // combineTerms sums duplicate variables and drops zero coefficients,
-// preserving first-occurrence order.
-func combineTerms(expr Expr) []Term {
-	seen := make(map[Var]int, len(expr))
-	out := make([]Term, 0, len(expr))
+// preserving first-occurrence order. The result lives in the term arena.
+func (m *Model) combineTerms(expr Expr) []Term {
+	if n := len(m.obj); len(m.termPos) < n {
+		m.termPos = append(m.termPos, make([]int32, n-len(m.termPos))...)
+	}
+	if cap(m.termArena)-len(m.termArena) < len(expr) {
+		m.termArena = make([]Term, 0, max(len(expr), min(2*cap(m.termArena), maxTermChunk), 64))
+	}
+	start := len(m.termArena)
+	out := m.termArena[start:start]
 	for _, t := range expr {
-		if i, ok := seen[t.Var]; ok {
-			out[i].Coef += t.Coef
+		if i := m.termPos[t.Var]; i > 0 {
+			out[i-1].Coef += t.Coef
 			continue
 		}
-		seen[t.Var] = len(out)
 		out = append(out, t)
+		m.termPos[t.Var] = int32(len(out))
 	}
 	w := 0
 	for _, t := range out {
+		m.termPos[t.Var] = 0
 		if t.Coef != 0 {
 			out[w] = t
 			w++
 		}
 	}
-	return out[:w]
+	m.termArena = m.termArena[:start+w]
+	return out[:w:w]
 }
 
 // Clone returns a deep copy of the model.

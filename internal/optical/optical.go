@@ -55,18 +55,6 @@ func (l *IPLink) CapacityGbps() float64 {
 	return c
 }
 
-// UsesFiber reports whether any wavelength of the link traverses fiber id.
-func (l *IPLink) UsesFiber(id int) bool {
-	for _, w := range l.Waves {
-		for _, f := range w.FiberPath {
-			if f == id {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Network is an optical-layer topology with its provisioned IP links.
 type Network struct {
 	NumROADMs int
@@ -177,10 +165,23 @@ func (n *Network) checkPath(src, dst ROADM, path []int) error {
 // on this fiber fail simultaneously"), a link that traverses any cut fiber
 // is considered failed.
 func (n *Network) FailedLinks(cut []int) []int {
-	cutSet := map[int]bool{}
+	return n.failedLinks(n.CutMask(cut))
+}
+
+// CutMask returns a flag per fiber ID, set for the fibers in cut. IDs
+// outside the network are ignored.
+func (n *Network) CutMask(cut []int) []bool {
+	mask := make([]bool, len(n.Fibers))
 	for _, id := range cut {
-		cutSet[id] = true
+		if id >= 0 && id < len(mask) {
+			mask[id] = true
+		}
 	}
+	return mask
+}
+
+// failedLinks is FailedLinks over a CutMask.
+func (n *Network) failedLinks(cutSet []bool) []int {
 	var out []int
 	for _, l := range n.IPLinks {
 		if l == nil {
@@ -211,10 +212,7 @@ func (n *Network) FailedLinks(cut []int) []int {
 // are being torn down, so their slots on surviving fibers become usable).
 // Cut fibers themselves are returned with no availability.
 func (n *Network) SpectrumUnderCut(cut []int) []*spectrum.Bitmap {
-	cutSet := map[int]bool{}
-	for _, id := range cut {
-		cutSet[id] = true
-	}
+	cutSet := n.CutMask(cut)
 	out := make([]*spectrum.Bitmap, len(n.Fibers))
 	for i, f := range n.Fibers {
 		if cutSet[i] {
@@ -223,7 +221,7 @@ func (n *Network) SpectrumUnderCut(cut []int) []*spectrum.Bitmap {
 			out[i] = f.Slots.Clone()
 		}
 	}
-	for _, lid := range n.FailedLinks(cut) {
+	for _, lid := range n.failedLinks(cutSet) {
 		for _, w := range n.IPLinks[lid].Waves {
 			for _, fid := range w.FiberPath {
 				if !cutSet[fid] {

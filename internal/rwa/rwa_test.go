@@ -1,6 +1,7 @@
 package rwa
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -465,5 +466,13 @@ func TestComposeWarmRestriction(t *testing.T) {
 	}
 	if math.Abs(composed.Objective-plain.Objective) > 1e-9 {
 		t.Fatalf("objective drifted: composed %g vs plain %g", composed.Objective, plain.Objective)
+	}
+}
+
+func TestPathKeyIsCanonical(t *testing.T) {
+	for _, fibers := range [][]int{nil, {4}, {0, 17, 3}, {155, 1024}} {
+		if got, want := pathKey(fibers), fmt.Sprint(fibers); got != want {
+			t.Fatalf("pathKey(%v) = %q, want %q", fibers, got, want)
+		}
 	}
 }

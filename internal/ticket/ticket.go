@@ -6,9 +6,9 @@
 package ticket
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"github.com/arrow-te/arrow/internal/ledger"
 	"github.com/arrow-te/arrow/internal/obs"
@@ -34,8 +34,18 @@ func (t *Ticket) TotalGbps() float64 {
 	return s
 }
 
-// Key returns a canonical string for deduplication.
-func (t *Ticket) Key() string { return fmt.Sprint(t.Waves) }
+// Key returns a canonical string for deduplication, e.g. "[2 0 3]".
+func (t *Ticket) Key() string {
+	b := make([]byte, 0, 3*len(t.Waves)+2)
+	b = append(b, '[')
+	for i, w := range t.Waves {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(w), 10)
+	}
+	return string(append(b, ']'))
+}
 
 // Options configures LotteryTicket generation.
 type Options struct {

@@ -1,6 +1,7 @@
 package ticket
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,5 +225,14 @@ func TestTotalGbps(t *testing.T) {
 	tk := Ticket{Waves: []int{2, 3}, Gbps: []float64{200, 300}}
 	if tk.TotalGbps() != 500 {
 		t.Fatalf("total %g", tk.TotalGbps())
+	}
+}
+
+func TestKeyIsCanonical(t *testing.T) {
+	for _, waves := range [][]int{nil, {0}, {12, 0, 3}, {-1, 100000}} {
+		tk := Ticket{Waves: waves}
+		if got, want := tk.Key(), fmt.Sprint(waves); got != want {
+			t.Fatalf("Key() = %q, want %q", got, want)
+		}
 	}
 }

@@ -179,7 +179,7 @@ func (t *Topology) Tunnels(src, dst, k int) []te.Tunnel {
 	}
 	// Pass 2: fill with k-shortest paths.
 	if len(out) < k {
-		for _, p := range g.KShortestPaths(graph.Node(src), graph.Node(dst), k+len(out), 0) {
+		for _, p := range g.KShortestPaths(graph.Node(src), graph.Node(dst), k+len(out), 0, nil) {
 			if len(out) >= k {
 				break
 			}
@@ -337,7 +337,7 @@ func provisionOverlay(topo *Topology, spec overlaySpec) error {
 		if a == b {
 			continue
 		}
-		paths := g.KShortestPaths(graph.Node(a), graph.Node(b), 2, 0)
+		paths := g.KShortestPaths(graph.Node(a), graph.Node(b), 2, 0, nil)
 		if len(paths) == 0 {
 			continue
 		}
